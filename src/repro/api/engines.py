@@ -26,6 +26,10 @@ The backend contract (see docs/api.md, "Writing a backend"):
   divergence documented.  ``benchmarks/perf/run_bench.py --ab A:B``
   enforces this before any bench numbers are written.
 
+A factory may hand out another engine with the same results: ``vector``
+returns the event engine when its C core cannot be built or loaded,
+with a one-line stderr notice naming the reason.
+
 Like :mod:`repro.api.devices` this module lives on the api side so the
 ``repro.gpusim`` package itself stays registry-free (bottom layer, no
 upward imports).  Imports inside the factories are lazy so listing
@@ -35,6 +39,7 @@ native extension build.
 
 from __future__ import annotations
 
+import sys
 from typing import Dict
 
 from repro.api.registry import REGISTRY
@@ -49,9 +54,21 @@ def _event_engine():
 
 @REGISTRY.register("engine-backends", "vector")
 def _vector_engine():
-    """Vectorized array-of-structs core (native C fast path when the
-    toolchain allows, pure-Python flat-array loop otherwise); results
-    bit-identical to the event engine."""
+    """The event engine's model on a compiled C loop; results
+    bit-identical to the event engine.
+
+    Without the C core (no compiler, failed build or load) this returns
+    the event engine itself — same results, event-engine speed — and
+    says so on stderr.  :func:`engine_class` memoizes the answer, so the
+    notice appears once per process; ``provenance.backend`` still
+    records the requested name."""
+    from repro.gpusim import _native
+    if _native.load() is None:
+        from repro.gpusim import GPU
+        print("repro: vector backend: C core unavailable "
+              f"({_native.unavailable_reason}); running the event engine",
+              file=sys.stderr)
+        return GPU
     from repro.gpusim.vector import VectorGPU
     return VectorGPU
 

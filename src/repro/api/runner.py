@@ -31,6 +31,7 @@ from typing import Any, ClassVar, Dict, List, Mapping, Optional
 from repro import __version__
 from repro.gpusim import ENGINE_VERSION, GPUConfig
 
+from .engines import engine_class
 from .registry import REGISTRY
 from .scenario import SCHEMA_VERSION, Scenario
 
@@ -288,6 +289,9 @@ def run_scenario(scenario: Scenario, executor=None,
     from repro.runtime import make_executor
     from repro.workloads import RODINIA_SPECS
 
+    # Resolve the engine before any pool worker forks, so the workers
+    # inherit the answer (and a fallback notice is printed once).
+    engine_class(scenario.execution.backend)
     owned = executor is None
     if owned:
         executor = make_executor(scenario.execution.workers)

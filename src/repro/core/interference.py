@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
 import pathlib
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -30,7 +29,8 @@ from repro.gpusim import (ENGINE_VERSION, Application, GPUConfig, KernelSpec,
 from .classification import (CLASS_ORDER, NUM_CLASSES, AppClass,
                              ClassificationThresholds, classify)
 from .patterns import Pattern
-from .profiling import CacheDir, Profiler, fingerprint, warm_profiles
+from .profiling import (CacheDir, Profiler, fingerprint, warm_profiles,
+                        write_atomic)
 
 
 @dataclass
@@ -245,9 +245,7 @@ def measure_interference(config: GPUConfig,
     if cache_path is not None:
         try:
             cache_path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = cache_path.with_suffix(".tmp")
-            tmp.write_text(_model_to_json(model))
-            os.replace(tmp, cache_path)
+            write_atomic(cache_path, _model_to_json(model))
         except OSError:
             pass  # read-only checkouts never block measurement
     return model

@@ -53,6 +53,15 @@ def fingerprint(*objs) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+def write_atomic(path: pathlib.Path, text: str) -> None:
+    """Write `text` to `path` through a per-process temp file and an
+    atomic rename, so concurrent writers of one entry (pool workers,
+    campaign shards) never rename each other's half-written file."""
+    tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
+    tmp.write_text(text)
+    os.replace(tmp, path)
+
+
 def profile_cache_key(config: GPUConfig, spec: KernelSpec) -> str:
     """Disk-cache key of one solo profile (see module docstring)."""
     return fingerprint(ENGINE_VERSION, config, spec)
@@ -140,10 +149,8 @@ class Profiler:
                     metrics: ProfileMetrics) -> None:
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(".tmp")
-            tmp.write_text(json.dumps(dataclasses.asdict(metrics),
-                                      indent=1, sort_keys=True))
-            os.replace(tmp, path)  # atomic: parallel runs can't corrupt
+            write_atomic(path, json.dumps(dataclasses.asdict(metrics),
+                                          indent=1, sort_keys=True))
         except OSError:
             pass  # a read-only checkout never blocks profiling
 

@@ -1,26 +1,31 @@
-"""ctypes loader and glue for the compiled vector-engine core.
+"""ctypes loader and glue for the compiled core of the ``vector`` backend.
 
-``_vectorcore.c`` implements the vector backend's run loop in C; this
-module compiles it on demand (``gcc -O2``, cached by source hash under
-``~/.cache/repro-gpusim``), maps the shared ``Core`` struct, translates a
-:class:`~repro.gpusim.vector.VectorGPU`'s state into flat buffers, and
-bridges the four places the loop re-enters Python: warp retirement
-(block/app bookkeeping, SMRA drain completion), dispatch sweeps,
-periodic callbacks (telemetry, SMRA controllers), and empty-heap
-recovery.  Results are bit-identical to both pure-Python engines — the C
-loop is the same operation sequence over the same integers and IEEE
-doubles (see the header comment of ``_vectorcore.c``).
+``_vectorcore.c`` is the vector backend's run loop: a transcription of
+the event engine's ``GPU.run`` + ``sm.issue_batch`` +
+``MemorySystem.access_line`` over flat arrays.  This module compiles it
+on demand (``gcc -O2``, or ``$CC``; cached by source hash under
+``~/.cache/repro-gpusim``, relocatable with ``REPRO_NATIVE_CACHE``),
+maps the shared ``Core`` struct, translates a freshly launched
+:class:`~repro.gpusim.vector.VectorGPU` into flat buffers, and bridges
+the four places the loop re-enters Python: warp retirement (block/app
+bookkeeping, SMRA drain completion), dispatch sweeps, periodic
+callbacks (telemetry, SMRA controllers), and empty-heap recovery.
+Results are bit-identical to the event engine — the C loop is the same
+operation sequence over the same integers and IEEE doubles (see the
+header comment of ``_vectorcore.c``).
 
-Everything here is optional: any failure to find a compiler, build, or
-load leaves the pure-Python vector loop in charge (same results, just
-slower).  Set ``REPRO_VECTOR_NATIVE=0`` to force the fallback; set
-``REPRO_NATIVE_CACHE`` to relocate the build cache.
+The core is optional: when no compiler is found, the build fails, or
+the library does not load, :func:`load` returns None and
+:data:`unavailable_reason` says why.  The ``vector`` registry entry
+(:mod:`repro.api.engines`) then runs the event engine instead and says
+so once on stderr.
 """
 
 from __future__ import annotations
 
 import ctypes
 import hashlib
+import itertools
 import os
 import shutil
 import subprocess
@@ -108,9 +113,6 @@ def load():
     if _tried:
         return _lib
     _tried = True
-    if os.environ.get("REPRO_VECTOR_NATIVE", "1") == "0":
-        unavailable_reason = "disabled via REPRO_VECTOR_NATIVE=0"
-        return None
     try:
         _lib = _build_and_load()
     except Exception as exc:  # pragma: no cover - depends on host toolchain
@@ -149,8 +151,6 @@ def _build_and_load():
     lib.vc_push_sm.argtypes = [ctypes.POINTER(Core), _i64]
     lib.vc_push_ready.restype = None
     lib.vc_push_ready.argtypes = [ctypes.POINTER(Core)] + [_i64] * 5
-    lib.vc_push_device_raw.restype = None
-    lib.vc_push_device_raw.argtypes = [ctypes.POINTER(Core)] + [_i64] * 3
     return lib
 
 
@@ -178,38 +178,22 @@ class _TrackedL1(SetAssocCache):
         self._dirty.add(self._smi)
 
 
-# -- packed line-record memo -------------------------------------------------
+# -- C → Python trampolines --------------------------------------------------
 
-#: id(records list) → (records, flat int64 array).  The records lists are
-#: themselves memoized across runs (vector._STREAM_MEMO), so flattening
-#: each once makes warm-run translation a single array-extend (memcpy).
-#: The value keeps the list alive, so the id key cannot be reused while
-#: the entry exists; the identity check below is belt and braces.
-_PACKED: dict = {}
-_PACKED_LINES = 0
-_PACKED_MAX_LINES = 1_500_000
+#: The states of the runs in progress, by ``Core.ctx`` handle.  The C loop
+#: passes ``ctx`` back on every crossing, so the trampolines below are
+#: built once per process and reference no device.  (Per-device
+#: trampolines built from bound methods would form a cycle through ctypes
+#: that the collector cannot free, keeping every finished device alive.)
+_RUNNING: dict = {}
+_HANDLES = itertools.count(1)
 
-
-def _packed_records(recs):
-    global _PACKED_LINES
-    key = id(recs)
-    hit = _PACKED.get(key)
-    if hit is not None and hit[0] is recs:
-        return hit[1]
-    flat = array("q", [v for r in recs for v in r])
-    if _PACKED_LINES > _PACKED_MAX_LINES:
-        _PACKED.clear()
-        _PACKED_LINES = 0
-    _PACKED[key] = (recs, flat)
-    _PACKED_LINES += len(recs)
-    return flat
-
-
-def clear_packed_memo():
-    """Drop flattened record arrays (test isolation hook)."""
-    global _PACKED_LINES
-    _PACKED.clear()
-    _PACKED_LINES = 0
+_CB_RETIRE = _RETIRE_CB(
+    lambda ctx, smi, slot, now: _RUNNING[ctx]._on_retire(smi, slot, now))
+_CB_DISPATCH = _DISPATCH_CB(lambda ctx, now: _RUNNING[ctx]._on_dispatch(now))
+_CB_FIRE = _FIRE_CB(lambda ctx, t: _RUNNING[ctx]._on_fire(t))
+_CB_EMPTY = _EMPTY_CB(lambda ctx, now: _RUNNING[ctx]._on_empty(now))
+_CB_GROW = _GROW_CB(lambda ctx: _RUNNING[ctx]._on_grow())
 
 
 # -- state translation -------------------------------------------------------
@@ -226,19 +210,15 @@ def _addr(a):
 class NativeState:
     """Flat-buffer image of a VectorGPU plus the Python crossing handlers.
 
-    Created lazily at the first native ``run`` and kept on the GPU object:
+    Created at the first ``run`` of a freshly launched device (empty
+    caches, DRAM row windows and event heap) and kept on the GPU object:
     the C side then owns the hot state (heaps, caches, warps, servers,
-    counters) until flushed back at crossings and at exit.  Translation
-    is general — it imports whatever state the device already has (cache
-    contents, pending heap entries, counters), so a device that ran
-    pure-Python first can still resume natively.  The reverse (native →
-    pure mid-run) is not supported; once a NativeState exists the GPU
-    always runs natively.
+    counters) until flushed back at crossings and at exit.
     """
 
     def __init__(self, gpu):
         self.gpu = gpu
-        self.lib = lib = gpu._native_lib
+        self.lib = _lib
         self.exc = None
         self.run_callbacks = []
         self.l1_dirty = gpu._l1_dirty
@@ -282,7 +262,7 @@ class NativeState:
         self._line_size = mem._line_size
         nbanks = npart * c.nbanks_per
 
-        # -- fixed buffers (never reallocated) --
+        # -- fixed-size buffers (only the device heap grows, in _on_grow) --
         c.dheap_cap = 4 * nsm + 64
         c.dheap_len = 0
         self._dheap = self._zq(2 * c.dheap_cap)
@@ -295,14 +275,6 @@ class NativeState:
         self._l1_lines = self._zq(nsm * c.l1_nsets * c.l1_assoc)
         self._l1_cnt = self._zq(nsm * c.l1_nsets)
         self._zero_sets = array("q", bytes(8 * c.l1_nsets))
-        for smi, s in enumerate(sms):
-            base = smi * c.l1_nsets
-            for si, d in enumerate(s.l1.sets):
-                if d:
-                    off = (base + si) * c.l1_assoc
-                    for j, line in enumerate(d):
-                        self._l1_lines[off + j] = line
-                    self._l1_cnt[base + si] = len(d)
         self._l1h = array("q", [s.l1.hits for s in sms])
         self._l1m = array("q", [s.l1.misses for s in sms])
         self._l1e = array("q", [s.l1.evictions for s in sms])
@@ -310,37 +282,16 @@ class NativeState:
         self._bus_busy = array("q", [p.bus_busy_until for p in parts])
         self._l2_lines = self._zq(npart * c.l2_nsets * c.l2_assoc)
         self._l2_cnt = self._zq(npart * c.l2_nsets)
-        flat = 0
-        for p in parts:
-            for d in p.l2.sets:
-                if d:
-                    off = flat * c.l2_assoc
-                    for j, line in enumerate(d):
-                        self._l2_lines[off + j] = line
-                    self._l2_cnt[flat] = len(d)
-                flat += 1
         self._l2h = array("q", [p.l2.hits for p in parts])
         self._l2m = array("q", [p.l2.misses for p in parts])
         self._l2e = array("q", [p.l2.evictions for p in parts])
         self._bipc = array("q", [p.l2._bip_counter for p in parts])
         self._rows = self._zq(nbanks * c.window)
         self._rows_cnt = self._zq(nbanks)
-        bank_busy, bank_acc, bank_rh = [], [], []
-        bi = 0
-        for p in parts:
-            for b in p.banks:
-                if b.rows:
-                    off = bi * c.window
-                    for j, r in enumerate(b.rows):
-                        self._rows[off + j] = r
-                    self._rows_cnt[bi] = len(b.rows)
-                bank_busy.append(b.busy_until)
-                bank_acc.append(b.accesses)
-                bank_rh.append(b.row_hits)
-                bi += 1
-        self._bank_busy = array("q", bank_busy)
-        self._bank_acc = array("q", bank_acc)
-        self._bank_rh = array("q", bank_rh)
+        banks = [b for p in parts for b in p.banks]
+        self._bank_busy = array("q", [b.busy_until for b in banks])
+        self._bank_acc = array("q", [b.accesses for b in banks])
+        self._bank_rh = array("q", [b.row_hits for b in banks])
 
         # -- growing buffers (struct pointers refreshed after appends) --
         self._w_pc = array("q")
@@ -374,37 +325,18 @@ class NativeState:
         self._rec_off = {}        # id(records) → (offset, records)
         self._app_rows = {}       # app_id → dense counter row
 
-        # Keep the callback trampolines alive for the GPU's lifetime.
-        self._cb_retire = _RETIRE_CB(self._on_retire)
-        self._cb_dispatch = _DISPATCH_CB(self._on_dispatch)
-        self._cb_fire = _FIRE_CB(self._on_fire)
-        self._cb_empty = _EMPTY_CB(self._on_empty)
-        self._cb_grow = _GROW_CB(self._on_grow)
-        c.cb_retire = self._cb_retire
-        c.cb_dispatch = self._cb_dispatch
-        c.cb_fire = self._cb_fire
-        c.cb_empty = self._cb_empty
-        c.cb_grow_dheap = self._cb_grow
-        c.ctx = None
+        c.cb_retire = _CB_RETIRE
+        c.cb_dispatch = _CB_DISPATCH
+        c.cb_fire = _CB_FIRE
+        c.cb_empty = _CB_EMPTY
+        c.cb_grow_dheap = _CB_GROW
+        c.ctx = next(_HANDLES)
 
         self._sync_fixed()
         self._sync_growing()
-
-        # Import any pre-existing event-heap / ready-heap state (resume
-        # after a pure-Python run; entries may be packed ints or tuples).
         c.seq_n = gpu._seq_n
-        heap = gpu._heap
-        if heap:
-            push_raw = lib.vc_push_device_raw
-            for e in heap:
-                if type(e) is tuple:
-                    t0, n0, si = e
-                else:
-                    t0, n0, si = e >> 44, (e >> 12) & 0xFFFFFFFF, e & 0xFFF
-                push_raw(self._cref, t0, n0, si)
-            del heap[:]
         self.drain_admissions()
-        self.l1_dirty.clear()     # Python-side sets were read post-clear
+        self.l1_dirty.clear()     # the native L1 sets start empty
 
     def _zq(self, n):
         return array("q", bytes(8 * n)) if n else array("q")
@@ -511,7 +443,7 @@ class NativeState:
             rent = self._rec_off.get(id(recs))
             if rent is None or rent[1] is not recs:
                 roff = len(self._recs) // 5
-                self._recs.extend(_packed_records(recs))
+                self._recs.extend(recs)
                 rent = (roff, recs)
                 self._rec_off[id(recs)] = rent
             self._w_rec_off.append(rent[0])
@@ -548,9 +480,9 @@ class NativeState:
             s._rr_pointer = rrp[i]
 
     def _flush_all(self):
-        """Write every counter and server clock back to the model objects
-        (the native analogue of the pure vector loop's ``_flush``, plus
-        the C-owned per-app counters)."""
+        """Write every counter and server clock back to the model objects,
+        including the C-owned per-app counters and the byte counters the
+        event engine increments in lockstep with them."""
         gpu = self.gpu
         for i, s in enumerate(gpu.sms):
             s._issue_free = self._isf[i]
@@ -608,7 +540,7 @@ class NativeState:
         self.exc = exc
         self.core.abort_flag = 1
 
-    def _on_retire(self, ctx, smi, slot, now):
+    def _on_retire(self, smi, slot, now):
         try:
             gpu = self.gpu
             gpu.cycle = now
@@ -625,7 +557,7 @@ class NativeState:
 
     def _dispatch_and_push(self, now):
         """Shared body of the dispatch / empty-heap crossings; mirrors
-        the vector loop's dispatch block."""
+        the dispatch block of ``GPU.run``."""
         gpu = self.gpu
         c = self.core
         self._flush_sched()
@@ -645,14 +577,14 @@ class NativeState:
             c.dispatch_needed = 1
         return dispatched
 
-    def _on_dispatch(self, ctx, now):
+    def _on_dispatch(self, now):
         try:
             self.gpu.cycle = now
             self._dispatch_and_push(now)
         except BaseException as exc:
             self._abort(exc)
 
-    def _on_empty(self, ctx, now):
+    def _on_empty(self, now):
         try:
             self.gpu.cycle = now
             return 1 if self._dispatch_and_push(now) else 0
@@ -660,7 +592,7 @@ class NativeState:
             self._abort(exc)
             return 0
 
-    def _on_fire(self, ctx, t):
+    def _on_fire(self, t):
         try:
             gpu = self.gpu
             c = self.core
@@ -683,7 +615,7 @@ class NativeState:
         except BaseException as exc:
             self._abort(exc)
 
-    def _on_grow(self, ctx):
+    def _on_grow(self):
         try:
             c = self.core
             newcap = c.dheap_cap * 2
@@ -701,7 +633,7 @@ class NativeState:
 
 
 def run_native(gpu, max_cycles, callbacks):
-    """Native counterpart of ``VectorGPU.run`` (same contract/results)."""
+    """Native counterpart of ``GPU.run`` (same contract/results)."""
     if not gpu.apps:
         raise RuntimeError("no applications launched")
     st = gpu._native
@@ -716,7 +648,9 @@ def run_native(gpu, max_cycles, callbacks):
         cb.next_at = gpu.cycle + cb.interval
     st.run_callbacks = callbacks
     c.next_cb = min((cb.next_at for cb in callbacks), default=_HUGE)
-    c.max_cycles = max_cycles
+    # Event times never reach 2^40 (the loop stops with ret 4 first), so
+    # clamping keeps any larger limit exact and inside an int64.
+    c.max_cycles = min(max_cycles, _HUGE)
     c.unfinished = gpu._unfinished
     c.dispatch_needed = 0
     c.cycle = gpu.cycle
@@ -725,19 +659,20 @@ def run_native(gpu, max_cycles, callbacks):
     c.abort_flag = 0
     st.exc = None
 
-    if gpu._dispatch_needed:
-        gpu._dispatch_needed = False
-        gpu.distributor.dispatch(gpu.cycle)
-        st.drain_admissions()
-        for smi in range(c.nsm):
-            lib.vc_push_sm(cref, smi)
-        gpu._seq_n = c.seq_n
-        if st.l1_dirty:
-            st._clear_dirty_l1()
-
+    _RUNNING[c.ctx] = st
     try:
+        if gpu._dispatch_needed:
+            gpu._dispatch_needed = False
+            gpu.distributor.dispatch(gpu.cycle)
+            st.drain_admissions()
+            for smi in range(c.nsm):
+                lib.vc_push_sm(cref, smi)
+            gpu._seq_n = c.seq_n
+            if st.l1_dirty:
+                st._clear_dirty_l1()
         ret = lib.vc_run(cref)
     finally:
+        del _RUNNING[c.ctx]
         gpu._seq_n = max(gpu._seq_n, c.seq_n)
         gpu.cycle = c.cycle
         st._flush_all()
@@ -747,4 +682,7 @@ def run_native(gpu, max_cycles, callbacks):
     if ret == 2:
         raise RuntimeError(
             "simulation deadlock: no events and nothing to dispatch")
+    if ret == 4:
+        raise RuntimeError("native vector core packing limits exceeded: "
+                           "an event time reached 2^40 cycles")
     return gpu.result()

@@ -1,10 +1,13 @@
 /* _vectorcore.c — compiled core of the "vector" engine backend.
  *
- * This is an operation-for-operation transcription of the Python loop in
- * repro/gpusim/vector.py (VectorGPU.run), which is itself a transcription
- * of GPU.run + sm.issue_batch + MemorySystem.access_line.  Keep the three
- * in sync; the golden determinism suite and the bench --ab gate compare
- * the backends bit-for-bit.
+ * This is an operation-for-operation transcription of the event engine's
+ * run loop: GPU.run (repro/gpusim/gpu.py) with sm.issue_batch and
+ * MemorySystem.access_line inlined, over flat arrays instead of model
+ * objects.  The event engine is the reference; keep this loop in sync
+ * with it.  The golden determinism suite, the backend parity suite and
+ * the bench --ab gate compare the two bit-for-bit.  repro/gpusim/_native.py
+ * builds the flat state and handles the crossings back into Python
+ * (warp retirement, dispatch sweeps, periodic callbacks, empty heap).
  *
  * Bit-identity notes
  * ------------------
@@ -36,8 +39,10 @@ typedef unsigned __int128 u128;
 
 /* Ready-heap entry packing: [wake:40][key+1:30][age:30][slot:28].
  * Total order == tuple order (wake, key, age); ages are unique per SM so
- * the slot bits never decide a comparison. */
+ * the slot bits never decide a comparison.  A wake that does not fit in
+ * 40 bits stops the run (vc_run returns 4) instead of wrapping. */
 #define SLOT_MASK ((((u128)1) << 28) - 1)
+#define WAKE_LIMIT (((i64)1) << 40)
 
 typedef struct Core Core;
 struct Core {
@@ -53,7 +58,8 @@ struct Core {
     i64 max_cycles;
     i64 rheap_cap;
 
-    /* device heap: t << 44 | seq << 12 | smi (same as vector.py) */
+    /* device heap: t << 44 | seq << 12 | smi (the order of the event
+     * engine's (t, seq, smi) tuples) */
     i64 dheap_len, dheap_cap;
     u128 *dheap;
 
@@ -241,16 +247,10 @@ void vc_push_sm(Core *c, i64 smi) {
     }
 }
 
-/* Translate one pre-existing device-heap entry (resumed runs). */
-void vc_push_device_raw(Core *c, i64 t, i64 seq, i64 smi) {
-    dpush(c, ((u128)(unsigned long long)t << 44)
-             | ((u128)(unsigned long long)seq << 12)
-             | (u128)(unsigned long long)smi);
-}
-
 /* -- the main loop ------------------------------------------------------ */
 /* Returns 0 = all applications finished, 1 = max_cycles reached,
- * 2 = deadlock (no events, nothing to dispatch), 3 = Python abort. */
+ * 2 = deadlock (no events, nothing to dispatch), 3 = Python abort,
+ * 4 = an event time reached WAKE_LIMIT (packing limit). */
 
 i64 vc_run(Core *c) {
     i64 chained = -1;
@@ -517,6 +517,8 @@ i64 vc_run(Core *c) {
                 last_issued_age = age;
                 if (wake <= t)
                     wake = t + 1;
+                if (wake >= WAKE_LIMIT)
+                    return 4;
                 i64 key;
                 if (c->gto) {
                     key = -1;

@@ -9,7 +9,10 @@ round-trip byte-identically.
 
 import dataclasses
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -19,8 +22,8 @@ from repro.api.registry import REGISTRY, RegistryError
 from repro.api.scenario import (DeviceSpec, ExecutionSpec, PlacementSpec,
                                 PolicySpec, WorkloadSpec)
 
-SCENARIO_DIR = (pathlib.Path(__file__).resolve().parents[2]
-                / "examples" / "scenarios")
+ROOT = pathlib.Path(__file__).resolve().parents[2]
+SCENARIO_DIR = ROOT / "examples" / "scenarios"
 
 
 def _tiny_stream(**execution):
@@ -67,10 +70,14 @@ class TestRegistry:
         assert REGISTRY.names("engine-backends") == ["event", "vector"]
 
     def test_factories_return_engine_classes(self):
-        from repro.gpusim import GPU
-        from repro.gpusim.vector import VectorGPU
+        from repro.gpusim import GPU, _native
         assert engine_class("event") is GPU
-        assert engine_class("vector") is VectorGPU
+        if _native.load() is None:
+            # No C core on this host: vector runs the event engine.
+            assert engine_class("vector") is GPU
+        else:
+            from repro.gpusim.vector import VectorGPU
+            assert engine_class("vector") is VectorGPU
 
     def test_engine_class_is_memoized(self):
         assert engine_class("vector") is engine_class("vector")
@@ -185,3 +192,39 @@ class TestProvenance:
         # The embedded scenario stays backend-free (identity, not
         # resources), so result files differ only in provenance.
         assert "backend" not in result.scenario["execution"]
+
+
+class TestFallbackWithoutCore:
+    """With no C core, ``--backend vector`` runs the event engine: the
+    same bytes, and one stderr notice naming the reason."""
+
+    NOTICE = "C core unavailable"
+
+    def test_cli_run_without_core_is_byte_identical(self, tmp_path):
+        scenario = tmp_path / "tiny_fleet.json"
+        scenario.write_text(_tiny_fleet().to_json())
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+                   REPRO_PROFILE_CACHE=str(tmp_path / "profiles"))
+
+        def run(out, **extra_env):
+            return subprocess.run(
+                [sys.executable, "-m", "repro", "run", str(scenario),
+                 "--out", str(tmp_path / out), "--backend", "vector"],
+                env={**env, **extra_env}, capture_output=True, text=True,
+                timeout=600, check=True)
+
+        native = run("native.json")
+        # A compiler that always fails and an empty build cache: the
+        # core cannot be built in that process.
+        missing = run("missing.json", CC="false",
+                      REPRO_NATIVE_CACHE=str(tmp_path / "native-cache"))
+        from repro.gpusim import _native
+        if _native.load() is not None:
+            assert self.NOTICE not in native.stderr
+        notices = [line for line in missing.stderr.splitlines()
+                   if self.NOTICE in line]
+        assert len(notices) == 1, missing.stderr
+        assert "CalledProcessError" in notices[0]
+        assert "event engine" in notices[0]
+        assert (tmp_path / "missing.json").read_bytes() == \
+            (tmp_path / "native.json").read_bytes()

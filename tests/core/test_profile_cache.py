@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import os
+import pathlib
 
 import pytest
 
@@ -83,6 +85,40 @@ class TestProfilerDiskCache:
         assert p2.simulations_run == 1
         # The corrupt file was rewritten with valid content.
         assert json.loads(path.read_text())["solo_cycles"] == m1.solo_cycles
+
+    def test_concurrent_writer_cannot_corrupt_entry(self, small_cfg,
+                                                    tmp_path, monkeypatch):
+        # Writer A has written its temp file and is about to rename it
+        # when writer B, another process storing the same entry, dies
+        # half-way through its own write.  A's rename must still publish
+        # A's complete file, not B's half.
+        spec = make_tiny_spec()
+        writer = Profiler(small_cfg, cache_dir=tmp_path)
+        metrics = writer.profile("tiny", spec)
+        (path,) = tmp_path.glob("profile_*.json")
+        path.unlink()
+        real_replace = os.replace
+        real_write_text = pathlib.Path.write_text
+        other_pid = os.getpid() + 1
+
+        def killed_mid_write(self, text):
+            real_write_text(self, text[:len(text) // 2])
+            raise OSError("writer killed")
+
+        def racing_replace(src, dst):
+            with monkeypatch.context() as m:
+                m.setattr(os, "getpid", lambda: other_pid)
+                m.setattr(os, "replace", real_replace)
+                m.setattr(pathlib.Path, "write_text", killed_mid_write)
+                Profiler(small_cfg, cache_dir=tmp_path)._store_disk(
+                    dst, metrics)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", racing_replace)
+        writer._store_disk(path, metrics)
+        monkeypatch.undo()
+        assert Profiler(small_cfg, cache_dir=tmp_path)._load_disk(path) \
+            == metrics
 
     def test_no_cache_dir_still_works(self, small_cfg):
         p = Profiler(small_cfg)
